@@ -137,10 +137,9 @@ remote flag (tune/simulate): --remote ADDR
             verbs with backoff + jitter, default 4; 0 = fail fast).
             Pipelining knobs (tune): --batch-points N (points per
             coalesced evaluate frame, default 64), --pipeline-depth N
-            (frames in flight per connection, default 8),
-            --flush-idle-us US|auto (coalesce window for concurrent
-            misses, default 200; `auto` sizes it from the observed
-            round-trip time; a lone sequential search never waits).
+            (evaluate frames one flush keeps in flight, default 8),
+            --flush-idle-us US (coalesce window for concurrent misses,
+            default 200; a lone sequential search never waits).
 fleet flag (tune): --fleet ADDRS|@FILE
             evaluate across N daemons (comma-separated addresses, or a
             manifest file with one address per line): each scope's
@@ -370,28 +369,18 @@ fn connect(addr: &str, args: &Args) -> Result<Client, String> {
 
 /// The client-side batching knobs for remote evaluation:
 /// `--batch-points N` caps the points per pipelined `evaluate` frame,
-/// `--pipeline-depth N` caps the frames in flight on the connection,
-/// `--flush-idle-us US` is the coalesce window a flush waits for
-/// concurrent misses (0 = send immediately; a lone sequential caller
-/// never waits regardless). `--flush-idle-us auto` sizes the window
-/// from the connection's observed round-trip time instead.
+/// `--pipeline-depth N` is the number of evaluate frames one flush
+/// keeps in flight, `--flush-idle-us US` is the coalesce window a flush
+/// waits for concurrent misses (0 = send immediately; a lone sequential
+/// caller never waits regardless).
 fn coalesce_config(args: &Args) -> Result<CoalesceConfig, String> {
     let default = CoalesceConfig::default();
-    let (flush_idle, adaptive) = match args.optional("flush-idle-us") {
-        None => (default.flush_idle, false),
-        Some("auto") => (default.flush_idle, true),
-        Some(v) => (
-            std::time::Duration::from_micros(v.parse::<u64>().map_err(|_| {
-                format!("--flush-idle-us expects microseconds or `auto`, got `{v}`")
-            })?),
-            false,
-        ),
-    };
     let cfg = CoalesceConfig {
         max_batch_points: args.num_or("batch-points", default.max_batch_points)?,
         max_frames: args.num_or("pipeline-depth", default.max_frames)?,
-        flush_idle,
-        adaptive,
+        flush_idle: std::time::Duration::from_micros(
+            args.num_or("flush-idle-us", default.flush_idle.as_micros() as u64)?,
+        ),
     };
     if cfg.max_batch_points == 0 || cfg.max_frames == 0 {
         return Err("--batch-points and --pipeline-depth must be at least 1".to_string());
@@ -1523,21 +1512,13 @@ mod tests {
     }
 
     #[test]
-    fn flush_idle_auto_is_accepted_and_garbage_is_not() {
+    fn flush_idle_garbage_is_rejected() {
         let err = call(
             "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
              --flush-idle-us soon",
         )
         .unwrap_err();
-        assert!(err.contains("`auto`"), "error should advertise auto: {err}");
-
-        let (addr, handle) = spawn_daemon();
-        let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32";
-        let local = call(flags).unwrap();
-        let auto = call(&format!("{flags} --remote {addr} --flush-idle-us auto")).unwrap();
-        assert_eq!(auto, local, "adaptive coalescing must never change results");
-        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
-        handle.join().expect("server thread");
+        assert!(err.contains("--flush-idle-us") && err.contains("soon"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Client library: a framed-RPC [`Client`], a [`Pipeline`] that keeps
-//! many request frames in flight on one connection, and the
-//! [`RemoteEvaluator`] facade that makes a remote daemon look like a
-//! local oracle.
+//! Client library: the framed-RPC [`Client`] — the one connection
+//! type, used sequentially or with a window of pipelined frames — and
+//! the [`RemoteEvaluator`] facade that makes a remote daemon look like
+//! a local oracle.
 //!
 //! [`RemoteEvaluator`] implements [`Oracle`], so every existing search
 //! strategy — `RandomSearch`, `AnnealingSearch`, `GeneticSearch`,
@@ -25,7 +25,7 @@
 //! damaged frame, an expired deadline, a [`Response::Busy`]
 //! backpressure answer — are retried with exponential backoff and
 //! jitter, reconnecting as needed, up to [`RetryPolicy::max_retries`]
-//! times.
+//! times. A pipelined call resends only the frames still unanswered.
 //!
 //! **Why retrying is safe** (the idempotency argument): the retried
 //! verbs — `ping`, `stats`, `evaluate`, `simulate` — are all
@@ -39,10 +39,10 @@
 //!
 //! After any failed or half-completed exchange the connection is
 //! **poisoned** (dropped and re-dialed before the next use). Frames
-//! carry correlation ids (protocol v3), and both the single-shot
-//! [`Client`] and the [`Pipeline`] verify every response's id against
-//! an outstanding request — a response that matches nothing is a loud
-//! [`ServiceError::Protocol`] failure, never a mislabeled answer.
+//! carry correlation ids (protocol v3), and every response's id is
+//! verified against the requests outstanding in its call — a response
+//! that matches nothing is a loud [`ServiceError::Protocol`] failure,
+//! never a mislabeled answer.
 
 use crate::protocol::{self, EvalScope, Request, Response, ServiceStats};
 use oriole_arch::GpuSpec;
@@ -56,7 +56,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why an RPC failed.
@@ -202,10 +202,13 @@ impl RetryPolicy {
     }
 }
 
-/// One session with a tuner daemon. All methods are `&self` (the
-/// stream sits behind a mutex), and each issues one request/response
-/// exchange — transparently reconnecting and retrying transient
-/// failures per the session's [`RetryPolicy`].
+/// One session with a tuner daemon — the only connection type. All
+/// methods are `&self` (the stream sits behind a mutex). Every call is
+/// one windowed exchange on the caller's own thread: single verbs and
+/// [`Client::evaluate`] keep one frame in flight,
+/// [`Client::evaluate_chunks`] keeps up to a window of them, and all of
+/// them transparently reconnect and retry transient failures per the
+/// session's [`RetryPolicy`].
 pub struct Client {
     /// `None` = poisoned (or never dialed): the next exchange
     /// re-connects. Poisoning after any failed exchange keeps
@@ -232,13 +235,21 @@ impl Client {
     /// [`Client::connect`] under an explicit policy.
     pub fn connect_with(addr: &str, policy: RetryPolicy) -> Result<Client, ServiceError> {
         let stream = dial(addr, &policy)?;
-        Ok(Client {
-            stream: Mutex::new(Some(stream)),
+        let client = Client::lazy(addr, policy);
+        *client.stream.lock().expect("client stream lock") = Some(stream);
+        Ok(client)
+    }
+
+    /// A session that dials on its first exchange (a failed dial is
+    /// then retried like any other transient failure).
+    fn lazy(addr: &str, policy: RetryPolicy) -> Client {
+        Client {
+            stream: Mutex::new(None),
             addr: addr.to_string(),
             policy,
             retries: AtomicU64::new(0),
             corr: AtomicU64::new(0),
-        })
+        }
     }
 
     /// [`Client::connect`] retried until `timeout` elapses — the
@@ -309,60 +320,115 @@ impl Client {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// One request/response exchange on the (re)connected stream.
-    /// Any failure — or a `Busy` answer — poisons the stream: the
-    /// daemon's conn-level shed closes the socket, and after a desynced
+    /// One windowed exchange on the (re)connected stream: sends
+    /// `reqs[i]` for every slot still `None`, keeping at most `window`
+    /// frames outstanding — once the window is full, one response is
+    /// read before the next frame is written — and files each answer,
+    /// through `accept`, into its request's slot by correlation id, so
+    /// out-of-order arrival is fine.
+    ///
+    /// A response whose id is not outstanding in this call, and any
+    /// id-0 notice other than `Busy`, is a [`ServiceError::Protocol`]
+    /// error; `Busy` (on id 0 or on a request's own id) is the transient
+    /// [`ServiceError::Busy`]. Any failure drops the stream: the daemon
+    /// closes a connection it shed with `Busy`, and after a desynced
     /// exchange a stale in-flight response could otherwise be
-    /// mislabeled as the answer to the next request.
-    fn exchange(&self, req: &Request) -> Result<Response, ServiceError> {
-        let mut slot = self.stream.lock().expect("client stream lock");
-        if slot.is_none() {
-            *slot = Some(dial(&self.addr, &self.policy)?);
+    /// mislabeled as the answer to a later request. The one exception
+    /// is a daemon error answer that leaves nothing outstanding — a
+    /// completed exchange on an in-sync stream, which is kept. Slots
+    /// filled before a failure keep their answers, so a retry resends
+    /// only the rest.
+    fn exchange<T>(
+        &self,
+        reqs: &[Request],
+        slots: &mut [Option<T>],
+        window: usize,
+        accept: &mut impl FnMut(usize, Response) -> Result<T, ServiceError>,
+    ) -> Result<(), ServiceError> {
+        let mut guard = self.stream.lock().expect("client stream lock");
+        if guard.is_none() {
+            *guard = Some(dial(&self.addr, &self.policy)?);
         }
-        let stream = slot.as_mut().expect("stream just ensured");
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed) + 1;
-        let result = (|| -> Result<Response, ServiceError> {
-            write_frame_tagged(stream, corr, &protocol::emit_request(req))
-                .map_err(|e| classify_frame_error(classify_frame_io(e)))?;
-            let (resp_corr, payload) = read_frame_tagged(stream).map_err(classify_frame_error)?;
-            // Id 0 is a connection-level notice (an admission shed or a
-            // framing error answered before any request was decoded);
-            // anything else must echo this request's id exactly.
-            if resp_corr != 0 && resp_corr != corr {
-                return Err(ServiceError::Protocol(format!(
-                    "response correlation id {resp_corr} does not match request {corr}"
-                )));
+        let stream = guard.as_mut().expect("stream just ensured");
+        // (correlation id, slot) of every frame sent and not yet answered.
+        let mut outstanding: Vec<(u64, usize)> = Vec::with_capacity(window.min(reqs.len()));
+        // Slots fill only after their frame was sent, so one forward
+        // cursor over the unanswered slots finds every frame to send.
+        let mut next = 0;
+        let result = (|| -> Result<(), ServiceError> {
+            loop {
+                while outstanding.len() < window.max(1) {
+                    let Some(i) = (next..reqs.len()).find(|&i| slots[i].is_none()) else {
+                        break;
+                    };
+                    next = i + 1;
+                    let corr = self.corr.fetch_add(1, Ordering::Relaxed) + 1;
+                    write_frame_tagged(stream, corr, &protocol::emit_request(&reqs[i]))
+                        .map_err(|e| classify_frame_error(classify_frame_io(e)))?;
+                    outstanding.push((corr, i));
+                }
+                if outstanding.is_empty() {
+                    return Ok(());
+                }
+                let (corr, payload) = read_frame_tagged(stream).map_err(classify_frame_error)?;
+                let resp = protocol::parse_response(&payload)
+                    .map_err(|e| ServiceError::Protocol(e.to_string()))?;
+                let Some(at) = outstanding.iter().position(|&(c, _)| c == corr) else {
+                    // Id 0 is a connection-level notice (an admission
+                    // shed or a framing error answered before any
+                    // request was decoded), addressed to no request.
+                    return Err(match resp {
+                        Response::Busy { retry_after_ms } if corr == 0 => {
+                            ServiceError::Busy(retry_after_ms)
+                        }
+                        Response::Error { message } if corr == 0 => ServiceError::Protocol(
+                            format!("connection-level error notice: {message}"),
+                        ),
+                        _ => ServiceError::Protocol(format!(
+                            "response for unknown correlation id {corr}"
+                        )),
+                    });
+                };
+                let (_, i) = outstanding.swap_remove(at);
+                slots[i] = Some(match resp {
+                    Response::Busy { retry_after_ms } => {
+                        return Err(ServiceError::Busy(retry_after_ms))
+                    }
+                    Response::Error { message } => return Err(ServiceError::Remote(message)),
+                    resp => accept(i, resp)?,
+                });
             }
-            protocol::parse_response(&payload).map_err(|e| ServiceError::Protocol(e.to_string()))
         })();
-        match &result {
-            Ok(Response::Busy { .. }) | Err(_) => *slot = None,
-            Ok(_) => {}
+        let in_sync = matches!(result, Err(ServiceError::Remote(_))) && outstanding.is_empty();
+        if result.is_err() && !in_sync {
+            *guard = None;
         }
-        match result {
-            // A wire-level error frame is a *completed* exchange: the
-            // stream stays in sync and the connection is kept.
-            Ok(Response::Error { message }) => Err(ServiceError::Remote(message)),
-            other => other,
-        }
+        result
     }
 
-    /// Issues `req`, retrying transient failures (reconnect + backoff)
-    /// per the policy. `retryable` is false for the one verb with a
-    /// side effect (`shutdown`).
-    fn call_with_retry(
+    /// Runs `reqs` through [`Client::exchange`], retrying transient
+    /// failures (reconnect + backoff, honoring a `Busy` hint when it is
+    /// the longer wait) per the policy — the one retry loop every verb
+    /// shares. Returns one accepted answer per request, in request
+    /// order. `retryable` is false for the one verb with a side effect
+    /// (`shutdown`).
+    fn call_with_retry<T>(
         &self,
-        req: &Request,
+        reqs: &[Request],
+        window: usize,
         retryable: bool,
-    ) -> Result<Response, ServiceError> {
+        mut accept: impl FnMut(usize, Response) -> Result<T, ServiceError>,
+    ) -> Result<Vec<T>, ServiceError> {
+        let mut slots: Vec<Option<T>> = reqs.iter().map(|_| None).collect();
         let mut attempt: u32 = 0;
         loop {
-            let outcome = match self.exchange(req) {
-                Ok(Response::Busy { retry_after_ms }) => Err(ServiceError::Busy(retry_after_ms)),
-                other => other,
-            };
-            match outcome {
-                Ok(resp) => return Ok(resp),
+            match self.exchange(reqs, &mut slots, window, &mut accept) {
+                Ok(()) => {
+                    return Ok(slots
+                        .into_iter()
+                        .map(|s| s.expect("a completed exchange fills every slot"))
+                        .collect())
+                }
                 Err(e) => {
                     if !retryable || !e.is_transient() || attempt >= self.policy.max_retries {
                         return Err(e);
@@ -381,12 +447,15 @@ impl Client {
         }
     }
 
+    /// Issues one request and returns its answer.
     fn call(&self, req: &Request) -> Result<Response, ServiceError> {
         // shutdown is the one verb with a side effect; everything else
         // is a deterministic read (see the module-level idempotency
         // argument) and safe to replay.
         let retryable = !matches!(req, Request::Shutdown);
-        self.call_with_retry(req, retryable)
+        let mut answers =
+            self.call_with_retry(std::slice::from_ref(req), 1, retryable, |_, resp| Ok(resp))?;
+        Ok(answers.pop().expect("one answer per request"))
     }
 
     /// Liveness probe.
@@ -420,41 +489,45 @@ impl Client {
     /// fresh-computation count of this request window and one
     /// measurement per point, in request order, bit-identical to local
     /// evaluation. Declares the session deadline so the daemon can shed
-    /// work it cannot start in time.
+    /// work it cannot start in time. This is
+    /// [`Client::evaluate_chunks`] with one chunk and a window of 1.
     pub fn evaluate(
         &self,
         scope: &EvalScope,
         points: &[TuningParams],
     ) -> Result<(u64, Vec<Measurement>), ServiceError> {
-        let req = Request::Evaluate {
-            scope: scope.clone(),
-            points: points.to_vec(),
-            deadline_ms: self.policy.deadline_ms(),
-        };
-        match self.call(&req)? {
+        let mut answers = self.evaluate_chunks(scope, &[points], 1)?;
+        Ok(answers.pop().expect("one answer per chunk"))
+    }
+
+    /// Evaluates each chunk as its own `evaluate` frame, keeping up to
+    /// `window` frames in flight on this connection so the daemon's
+    /// workers run them in parallel. Returns each chunk's
+    /// fresh-computation count and measurements, in chunk order
+    /// whatever order the responses arrive in. Every answer is checked
+    /// against the positional contract; a transient failure retries
+    /// only the chunks still unanswered.
+    pub fn evaluate_chunks(
+        &self,
+        scope: &EvalScope,
+        chunks: &[&[TuningParams]],
+        window: usize,
+    ) -> Result<Vec<(u64, Vec<Measurement>)>, ServiceError> {
+        let reqs: Vec<Request> = chunks
+            .iter()
+            .map(|points| Request::Evaluate {
+                scope: scope.clone(),
+                points: points.to_vec(),
+                deadline_ms: self.policy.deadline_ms(),
+            })
+            .collect();
+        self.call_with_retry(&reqs, window, true, |i, resp| match resp {
             Response::Evaluate { computed, measurements } => {
-                if measurements.len() != points.len() {
-                    return Err(ServiceError::Protocol(format!(
-                        "evaluate returned {} measurements for {} points",
-                        measurements.len(),
-                        points.len()
-                    )));
-                }
-                // The ordering contract is positional; verify it rather
-                // than trust it, so a confused daemon surfaces as a
-                // protocol error instead of mislabeled measurements.
-                for (p, m) in points.iter().zip(&measurements) {
-                    if m.params != *p {
-                        return Err(ServiceError::Protocol(format!(
-                            "evaluate returned measurement for {} where {} was requested",
-                            m.params, p
-                        )));
-                    }
-                }
+                verify_measurements(chunks[i], &measurements)?;
                 Ok((computed, measurements))
             }
             other => Err(ServiceError::Protocol(format!("expected measurements, got {other:?}"))),
-        }
+        })
     }
 
     /// Compiles and simulates one variant remotely; returns the
@@ -514,353 +587,30 @@ impl fmt::Debug for Client {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined connection
-// ---------------------------------------------------------------------------
-
-/// A pipeline failure, recorded once and answered to every outstanding
-/// and future caller: transient failures (transport loss, stalls,
-/// connection-level Busy) invite the caller to rebuild the pipeline
-/// and retry; deterministic ones do not.
-struct PipeFailure {
-    transient: bool,
-    message: String,
-}
-
-impl PipeFailure {
-    fn to_error(&self) -> ServiceError {
-        if self.transient {
-            ServiceError::Io(std::io::Error::other(self.message.clone()))
-        } else {
-            ServiceError::Protocol(self.message.clone())
+/// The positional response contract, verified rather than trusted: one
+/// measurement per requested point, in request order, so a confused
+/// daemon surfaces as a protocol error instead of mislabeled
+/// measurements.
+fn verify_measurements(
+    points: &[TuningParams],
+    measurements: &[Measurement],
+) -> Result<(), ServiceError> {
+    if measurements.len() != points.len() {
+        return Err(ServiceError::Protocol(format!(
+            "evaluate returned {} measurements for {} points",
+            measurements.len(),
+            points.len()
+        )));
+    }
+    for (p, m) in points.iter().zip(measurements) {
+        if m.params != *p {
+            return Err(ServiceError::Protocol(format!(
+                "evaluate returned measurement for {} where {} was requested",
+                m.params, p
+            )));
         }
     }
-}
-
-struct PipeShared {
-    /// Responses matched by correlation id; a present value means the
-    /// response arrived before its waiter.
-    pending: HashMap<u64, Option<Response>>,
-    /// Requests still awaiting their response frame (pending entries
-    /// whose slot is `None`). This — not `pending.len()` — is what the
-    /// depth cap bounds: an answered-but-unclaimed ticket costs no
-    /// daemon-side work, so it must not block further sends (a caller
-    /// that sends a burst of frames before waiting any would otherwise
-    /// deadlock itself at the cap).
-    in_flight: usize,
-    /// Send instants of outstanding requests, keyed by correlation id —
-    /// the reader subtracts these from arrival time to feed the RTT
-    /// EWMA. Entries are removed on match, send failure, or wait error.
-    sent: HashMap<u64, Instant>,
-    failure: Option<PipeFailure>,
-    /// Last instant the reader made frame progress; waiters poison the
-    /// pipeline when it goes stale past the rpc deadline with requests
-    /// outstanding.
-    last_progress: Instant,
-}
-
-struct PipeInner {
-    writer: Mutex<TcpStream>,
-    shared: Mutex<PipeShared>,
-    changed: Condvar,
-    /// A second handle on the socket, used to shut it down on poison so
-    /// the blocked reader thread exits promptly.
-    breaker: TcpStream,
-    depth: usize,
-    rpc_timeout: Duration,
-    next_corr: AtomicU64,
-    /// EWMA (alpha 1/8) of observed request→response round-trip time in
-    /// nanoseconds; 0 means no sample yet. Feeds adaptive coalescing.
-    rtt_ewma_ns: AtomicU64,
-}
-
-impl PipeInner {
-    fn poison(&self, transient: bool, message: String) {
-        {
-            let mut shared = self.shared.lock().expect("pipeline lock");
-            if shared.failure.is_none() {
-                shared.failure = Some(PipeFailure { transient, message });
-            }
-        }
-        // Unblock the reader (and any peer writes); best-effort.
-        let _ = self.breaker.shutdown(std::net::Shutdown::Both);
-        self.changed.notify_all();
-    }
-}
-
-/// A handle on one in-flight pipelined request; redeem it with
-/// [`Pipeline::wait`]. Dropping a ticket without waiting leaks its
-/// depth slot for the life of the pipeline — always wait.
-#[must_use = "a ticket holds a pipeline depth slot until waited"]
-pub struct Ticket {
-    corr: u64,
-}
-
-/// One connection with up to `depth` request frames in flight,
-/// responses matched by correlation id — out-of-order arrival is
-/// expected and fine (protocol v3).
-///
-/// A `Pipeline` is **not** self-healing: any transport failure, stall
-/// past the rpc deadline, or response for an unknown id poisons the
-/// whole pipeline and fails every outstanding ticket. Callers that
-/// want retry semantics rebuild the pipeline and resend (evaluation is
-/// deterministic and the store dedups, so replays are safe) — that is
-/// exactly what [`RemoteEvaluator`] does.
-pub struct Pipeline {
-    inner: Arc<PipeInner>,
-}
-
-impl Pipeline {
-    /// Dials `addr` and starts the reader thread. `depth` bounds the
-    /// frames in flight ([`Pipeline::send`] blocks at the cap);
-    /// `policy` supplies only the rpc deadline — retries are the
-    /// caller's business.
-    pub fn connect(addr: &str, depth: usize, policy: &RetryPolicy) -> Result<Pipeline, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        // The reader blocks on the socket without its own deadline —
-        // liveness is enforced by waiters watching `last_progress`, and
-        // poison breaks the socket under the reader.
-        let writer = stream.try_clone()?;
-        let breaker = stream.try_clone()?;
-        let rpc_timeout = if policy.rpc_timeout.is_zero() {
-            Duration::from_secs(3600)
-        } else {
-            policy.rpc_timeout
-        };
-        let inner = Arc::new(PipeInner {
-            writer: Mutex::new(writer),
-            shared: Mutex::new(PipeShared {
-                pending: HashMap::new(),
-                in_flight: 0,
-                sent: HashMap::new(),
-                failure: None,
-                last_progress: Instant::now(),
-            }),
-            changed: Condvar::new(),
-            breaker,
-            depth: depth.max(1),
-            rpc_timeout,
-            next_corr: AtomicU64::new(0),
-            rtt_ewma_ns: AtomicU64::new(0),
-        });
-        let reader_inner = Arc::clone(&inner);
-        std::thread::spawn(move || reader_loop(stream, &reader_inner));
-        Ok(Pipeline { inner })
-    }
-
-    /// Whether the pipeline has failed (every outstanding and future
-    /// call answers the recorded failure).
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.shared.lock().expect("pipeline lock").failure.is_some()
-    }
-
-    /// Sends one request frame, blocking while the pipeline is at its
-    /// depth cap. Returns the ticket to redeem for this request's
-    /// response.
-    pub fn send(&self, req: &Request) -> Result<Ticket, ServiceError> {
-        let inner = &self.inner;
-        let corr = {
-            let mut shared = inner.shared.lock().expect("pipeline lock");
-            loop {
-                if let Some(f) = &shared.failure {
-                    return Err(f.to_error());
-                }
-                if shared.in_flight < inner.depth {
-                    break;
-                }
-                let (guard, timed_out) = inner
-                    .changed
-                    .wait_timeout(shared, inner.rpc_timeout)
-                    .expect("pipeline wait");
-                shared = guard;
-                if timed_out.timed_out() && shared.in_flight >= inner.depth {
-                    drop(shared);
-                    inner.poison(
-                        true,
-                        "pipeline stalled at its depth cap past the rpc deadline".to_string(),
-                    );
-                    shared = inner.shared.lock().expect("pipeline lock");
-                }
-            }
-            let corr = inner.next_corr.fetch_add(1, Ordering::Relaxed) + 1;
-            shared.pending.insert(corr, None);
-            shared.sent.insert(corr, Instant::now());
-            shared.in_flight += 1;
-            corr
-        };
-        let wrote = {
-            let mut writer = inner.writer.lock().expect("pipeline writer lock");
-            write_frame_tagged(&mut *writer, corr, &protocol::emit_request(req))
-        };
-        if let Err(e) = wrote {
-            {
-                let mut shared = inner.shared.lock().expect("pipeline lock");
-                if matches!(shared.pending.remove(&corr), Some(None)) {
-                    shared.in_flight -= 1;
-                }
-                shared.sent.remove(&corr);
-            }
-            inner.poison(true, format!("pipeline send failed: {e}"));
-            return Err(ServiceError::Io(e));
-        }
-        Ok(Ticket { corr })
-    }
-
-    /// Blocks until `ticket`'s response arrives (or the pipeline
-    /// fails, or frame progress stalls past the rpc deadline).
-    pub fn wait(&self, ticket: Ticket) -> Result<Response, ServiceError> {
-        let inner = &self.inner;
-        let mut shared = inner.shared.lock().expect("pipeline lock");
-        loop {
-            if matches!(shared.pending.get(&ticket.corr), Some(Some(_))) {
-                let resp = shared
-                    .pending
-                    .remove(&ticket.corr)
-                    .flatten()
-                    .expect("checked present");
-                inner.changed.notify_all();
-                return Ok(resp);
-            }
-            if let Some(f) = &shared.failure {
-                let err = f.to_error();
-                if matches!(shared.pending.remove(&ticket.corr), Some(None)) {
-                    shared.in_flight -= 1;
-                }
-                shared.sent.remove(&ticket.corr);
-                return Err(err);
-            }
-            // The deadline is measured from the reader's last frame
-            // progress, not from this wait's start: a deep pipeline
-            // making steady progress is healthy no matter how long the
-            // tail ticket waits; a silent daemon is not.
-            let stale_at = shared.last_progress + inner.rpc_timeout;
-            let now = Instant::now();
-            if now >= stale_at {
-                drop(shared);
-                inner.poison(
-                    true,
-                    format!(
-                        "no response frame for {:?} with requests in flight",
-                        inner.rpc_timeout
-                    ),
-                );
-                shared = inner.shared.lock().expect("pipeline lock");
-                continue;
-            }
-            let (guard, _) = inner
-                .changed
-                .wait_timeout(shared, stale_at - now)
-                .expect("pipeline wait");
-            shared = guard;
-        }
-    }
-
-    /// [`Pipeline::send`] + [`Pipeline::wait`] as one call — the
-    /// single-shot convenience for tests and probes.
-    pub fn call(&self, req: &Request) -> Result<Response, ServiceError> {
-        self.wait(self.send(req)?)
-    }
-
-    /// The smoothed round-trip time observed on this connection (EWMA,
-    /// alpha 1/8), or `None` before the first matched response. Feeds
-    /// [`CoalesceConfig::flush_idle_from_rtt`] when adaptive coalescing
-    /// is on.
-    pub fn rtt_ewma(&self) -> Option<Duration> {
-        match self.inner.rtt_ewma_ns.load(Ordering::Relaxed) {
-            0 => None,
-            ns => Some(Duration::from_nanos(ns)),
-        }
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        self.inner.poison(true, "pipeline dropped".to_string());
-    }
-}
-
-impl fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shared = self.inner.shared.lock().expect("pipeline lock");
-        f.debug_struct("Pipeline")
-            .field("depth", &self.inner.depth)
-            .field("in_flight", &shared.in_flight)
-            .field("poisoned", &shared.failure.is_some())
-            .finish()
-    }
-}
-
-/// The pipeline's reader: matches every arriving frame to its
-/// outstanding request by correlation id. A response that matches no
-/// outstanding id — or one the daemon tagged with an id we never
-/// issued — poisons the pipeline as a protocol error: **no response is
-/// ever delivered to the wrong correlation id.**
-fn reader_loop(mut stream: TcpStream, inner: &PipeInner) {
-    loop {
-        let (corr, payload) = match read_frame_tagged(&mut stream) {
-            Ok(frame) => frame,
-            Err(FrameError::Eof) => {
-                inner.poison(true, "daemon closed the pipelined connection".to_string());
-                return;
-            }
-            Err(e) => {
-                inner.poison(true, format!("pipelined read failed: {e}"));
-                return;
-            }
-        };
-        let resp = match protocol::parse_response(&payload) {
-            Ok(resp) => resp,
-            Err(e) => {
-                inner.poison(false, format!("unparseable response: {e}"));
-                return;
-            }
-        };
-        if corr == 0 {
-            // Connection-level notice, addressed to no request: an
-            // admission shed (Busy) or a pre-decode error. Either way
-            // the whole pipeline is done.
-            match resp {
-                Response::Busy { retry_after_ms } => inner.poison(
-                    true,
-                    format!("daemon shed the connection (retry in {retry_after_ms}ms)"),
-                ),
-                Response::Error { message } => inner.poison(false, message),
-                other => inner.poison(
-                    false,
-                    format!("connection-level frame carried unexpected {other:?}"),
-                ),
-            }
-            return;
-        }
-        let mut shared = inner.shared.lock().expect("pipeline lock");
-        match shared.pending.get_mut(&corr) {
-            Some(slot @ None) => {
-                *slot = Some(resp);
-                shared.in_flight -= 1;
-                let now = Instant::now();
-                shared.last_progress = now;
-                if let Some(sent_at) = shared.sent.remove(&corr) {
-                    let sample = now.duration_since(sent_at).as_nanos().min(u128::from(u64::MAX))
-                        as u64;
-                    // EWMA with alpha 1/8; the first sample seeds it.
-                    let old = inner.rtt_ewma_ns.load(Ordering::Relaxed);
-                    let new = if old == 0 { sample } else { old - old / 8 + sample / 8 };
-                    inner.rtt_ewma_ns.store(new.max(1), Ordering::Relaxed);
-                }
-                drop(shared);
-                inner.changed.notify_all();
-            }
-            _ => {
-                drop(shared);
-                inner.poison(
-                    false,
-                    format!("response for unknown correlation id {corr}"),
-                );
-                return;
-            }
-        }
-    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -875,20 +625,14 @@ pub struct CoalesceConfig {
     /// chunks of this size and the chunks pipelined, so the daemon's
     /// workers parallelize *within* one logical batch.
     pub max_batch_points: usize,
-    /// Pipeline depth for the evaluator's connection — evaluate frames
-    /// concurrently in flight.
+    /// Evaluate frames one flush keeps in flight on the evaluator's
+    /// connection (the [`Client::evaluate_chunks`] window).
     pub max_frames: usize,
     /// How long a flush waits for more concurrent misses to coalesce
     /// before sending. Only applied when other threads are actively
     /// inside the evaluator — a single sequential searcher never pays
     /// it.
     pub flush_idle: Duration,
-    /// When set, size the flush beat from the connection's observed
-    /// round-trip time ([`Pipeline::rtt_ewma`] through
-    /// [`CoalesceConfig::flush_idle_from_rtt`]) instead of the fixed
-    /// `flush_idle`, which then only serves as the pre-first-sample
-    /// fallback. CLI: `--flush-idle-us auto`.
-    pub adaptive: bool,
 }
 
 impl Default for CoalesceConfig {
@@ -897,19 +641,7 @@ impl Default for CoalesceConfig {
             max_batch_points: 64,
             max_frames: 8,
             flush_idle: Duration::from_micros(200),
-            adaptive: false,
         }
-    }
-}
-
-impl CoalesceConfig {
-    /// Derives a flush beat from an observed round-trip time: a quarter
-    /// of the RTT (long enough for concurrent misses to pile on, short
-    /// against the wire cost it amortizes), clamped to [25µs, 5ms] so a
-    /// loopback RTT never spins the beat to zero and a WAN RTT never
-    /// stalls a flush for whole RPC lifetimes.
-    pub fn flush_idle_from_rtt(rtt: Duration) -> Duration {
-        (rtt / 4).clamp(Duration::from_micros(25), Duration::from_millis(5))
     }
 }
 
@@ -919,23 +651,28 @@ impl CoalesceConfig {
 /// Cache misses are **coalesced**: the first thread to find pending
 /// misses becomes the flusher, waits one [`CoalesceConfig::flush_idle`]
 /// beat for concurrent threads' misses to pile on (skipped when alone),
-/// then drains the pending set into chunked, pipelined `evaluate`
-/// frames over one shared [`Pipeline`]. Everyone else parks until the
-/// cache fills. Results are bit-identical to sequential one-at-a-time
+/// then drains the pending set into chunked `evaluate` frames pipelined
+/// over the evaluator's own connection
+/// ([`Client::evaluate_chunks`]). Everyone else parks until the cache
+/// fills. Results are bit-identical to sequential one-at-a-time
 /// evaluation — the daemon's store dedups, the wire format is exact,
 /// and the memo is keyed by point, so scheduling never shows in the
 /// data.
 ///
-/// Transient RPC failures are healed by retrying with a fresh pipeline
-/// under the [`Client`]'s policy; an error surfaces only once that
-/// policy is exhausted. The oracle contract has no error channel, so
-/// such a *final* failure is **latched**: the failing point scores
-/// `f64::INFINITY`, every later query short-circuits the same way, and
-/// the driver must check [`RemoteEvaluator::take_error`] after the
-/// search — a lost daemon aborts the run loudly instead of silently
-/// returning garbage winners.
+/// Transient RPC failures are healed by retrying under the [`Client`]'s
+/// policy; an error surfaces only once that policy is exhausted. The
+/// oracle contract has no error channel, so such a *final* failure is
+/// **latched**: the failing point scores `f64::INFINITY`, every later
+/// query short-circuits the same way, and the driver must check
+/// [`RemoteEvaluator::take_error`] after the search — a lost daemon
+/// aborts the run loudly instead of silently returning garbage winners.
 pub struct RemoteEvaluator {
+    /// The caller's session, kept as the side channel
+    /// ([`RemoteEvaluator::client`]).
     client: Client,
+    /// The evaluation session, under the side channel's address and
+    /// policy; it dials at the first flush.
+    eval_client: Client,
     scope: EvalScope,
     coalesce: CoalesceConfig,
     state: Mutex<EvalState>,
@@ -961,8 +698,6 @@ struct EvalState {
     /// Threads currently inside `evaluate_batch` — the flusher skips
     /// its coalesce beat when it is alone.
     waiters: usize,
-    /// The healthy pipeline from the last flush, reused across flushes.
-    pipe: Option<Arc<Pipeline>>,
 }
 
 impl RemoteEvaluator {
@@ -979,6 +714,7 @@ impl RemoteEvaluator {
         coalesce: CoalesceConfig,
     ) -> RemoteEvaluator {
         RemoteEvaluator {
+            eval_client: Client::lazy(client.addr(), *client.policy()),
             client,
             scope,
             coalesce,
@@ -989,7 +725,6 @@ impl RemoteEvaluator {
                 inflight: HashSet::new(),
                 flushing: false,
                 waiters: 0,
-                pipe: None,
             }),
             changed: Condvar::new(),
             fetched: AtomicU64::new(0),
@@ -1006,8 +741,8 @@ impl RemoteEvaluator {
         &self.scope
     }
 
-    /// The underlying single-shot connection (for side-channel requests
-    /// like [`Client::stats`] on the same session).
+    /// The caller's connection, a side channel for requests like
+    /// [`Client::stats`] (evaluation runs on a separate connection).
     pub fn client(&self) -> &Client {
         &self.client
     }
@@ -1029,8 +764,9 @@ impl RemoteEvaluator {
         self.computed_remote.load(Ordering::Relaxed)
     }
 
-    /// `evaluate` frames sent over the wire (each carries one coalesced
-    /// chunk of at most [`CoalesceConfig::max_batch_points`] points).
+    /// `evaluate` frames answered over the wire (each carries one
+    /// coalesced chunk of at most [`CoalesceConfig::max_batch_points`]
+    /// points).
     pub fn batches_sent(&self) -> u64 {
         self.batches_sent.load(Ordering::Relaxed)
     }
@@ -1098,18 +834,8 @@ impl RemoteEvaluator {
                 st.flushing = true;
                 // The coalesce beat: give concurrently arriving misses
                 // a moment to pile onto this flush — but never tax a
-                // lone sequential searcher with it. Adaptive mode sizes
-                // the beat from the live connection's RTT EWMA, falling
-                // back to the fixed beat before the first sample.
-                let beat = if self.coalesce.adaptive {
-                    st.pipe
-                        .as_deref()
-                        .and_then(Pipeline::rtt_ewma)
-                        .map(CoalesceConfig::flush_idle_from_rtt)
-                        .unwrap_or(self.coalesce.flush_idle)
-                } else {
-                    self.coalesce.flush_idle
-                };
+                // lone sequential searcher with it.
+                let beat = self.coalesce.flush_idle;
                 if st.waiters > 1 && !beat.is_zero() {
                     let (guard, _) =
                         self.changed.wait_timeout(st, beat).expect("coalesce wait");
@@ -1120,17 +846,15 @@ impl RemoteEvaluator {
                 for p in &batch {
                     st.inflight.insert(*p);
                 }
-                let pipe = st.pipe.take();
                 drop(st);
-                let outcome = self.fetch(&batch, pipe);
+                let outcome = self.fetch(&batch);
                 st = self.state.lock().expect("remote evaluator lock");
                 for p in &batch {
                     st.inflight.remove(p);
                 }
                 st.flushing = false;
                 match outcome {
-                    Ok((pipe, computed, measurements)) => {
-                        st.pipe = Some(pipe);
+                    Ok((computed, measurements)) => {
                         self.fetched.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         self.computed_remote.fetch_add(computed, Ordering::Relaxed);
                         for m in measurements {
@@ -1159,156 +883,24 @@ impl RemoteEvaluator {
         }
     }
 
-    /// Fetches one coalesced batch: chunked into frames, pipelined,
-    /// verified per chunk, retried per the [`Client`]'s policy with a
-    /// fresh pipeline on transient failure. Returns the (still healthy)
-    /// pipeline for reuse plus the daemon-computed count and all
+    /// Fetches one coalesced batch as pipelined chunks on the
+    /// evaluation connection. Returns the daemon-computed count and all
     /// measurements in batch order.
-    fn fetch(
-        &self,
-        batch: &[TuningParams],
-        mut pipe: Option<Arc<Pipeline>>,
-    ) -> Result<(Arc<Pipeline>, u64, Vec<Measurement>), ServiceError> {
-        let policy = self.client.policy();
+    fn fetch(&self, batch: &[TuningParams]) -> Result<(u64, Vec<Measurement>), ServiceError> {
         let chunks: Vec<&[TuningParams]> = batch.chunks(self.coalesce.max_batch_points).collect();
-        let mut results: Vec<Option<(u64, Vec<Measurement>)>> = vec![None; chunks.len()];
-        let mut attempt: u32 = 0;
-        loop {
-            let p = match pipe.take().filter(|p| !p.is_poisoned()) {
-                Some(p) => p,
-                None => {
-                    match Pipeline::connect(self.client.addr(), self.coalesce.max_frames, policy)
-                    {
-                        Ok(p) => Arc::new(p),
-                        Err(e) => {
-                            attempt = retry_or_bail(policy, attempt, e, None)?;
-                            continue;
-                        }
-                    }
-                }
-            };
-            // Send every unresolved chunk, then collect: the pipeline
-            // keeps up to `max_frames` of them in flight at once.
-            let mut tickets: Vec<(usize, Ticket)> = Vec::new();
-            let mut failure: Option<ServiceError> = None;
-            for (i, chunk) in chunks.iter().enumerate() {
-                if results[i].is_some() {
-                    continue;
-                }
-                let req = Request::Evaluate {
-                    scope: self.scope.clone(),
-                    points: chunk.to_vec(),
-                    deadline_ms: policy.deadline_ms(),
-                };
-                match p.send(&req) {
-                    Ok(t) => tickets.push((i, t)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let mut busy_hint: Option<u64> = None;
-            for (i, ticket) in tickets {
-                match p.wait(ticket) {
-                    Ok(Response::Evaluate { computed, measurements }) => {
-                        verify_measurements(chunks[i], &measurements)?;
-                        self.batches_sent.fetch_add(1, Ordering::Relaxed);
-                        self.peak_batch.fetch_max(chunks[i].len() as u64, Ordering::Relaxed);
-                        results[i] = Some((computed, measurements));
-                    }
-                    Ok(Response::Busy { retry_after_ms }) => {
-                        busy_hint = Some(retry_after_ms);
-                        if failure.is_none() {
-                            failure = Some(ServiceError::Busy(retry_after_ms));
-                        }
-                    }
-                    Ok(Response::Error { message }) => {
-                        return Err(ServiceError::Remote(message));
-                    }
-                    Ok(other) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "expected measurements, got {other:?}"
-                        )));
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            match failure {
-                None => {
-                    let mut computed = 0u64;
-                    let mut measurements = Vec::with_capacity(batch.len());
-                    for r in results {
-                        let (c, ms) = r.expect("no failure means every chunk resolved");
-                        computed += c;
-                        measurements.extend(ms);
-                    }
-                    return Ok((p, computed, measurements));
-                }
-                Some(e) => {
-                    attempt = retry_or_bail(policy, attempt, e, busy_hint)?;
-                    // Busy leaves the pipeline healthy; transport
-                    // failures poisoned it and the filter above drops
-                    // it.
-                    pipe = Some(p);
-                }
-            }
+        let answers =
+            self.eval_client.evaluate_chunks(&self.scope, &chunks, self.coalesce.max_frames)?;
+        self.batches_sent.fetch_add(chunks.len() as u64, Ordering::Relaxed);
+        let widest = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
+        self.peak_batch.fetch_max(widest as u64, Ordering::Relaxed);
+        let mut computed = 0u64;
+        let mut measurements = Vec::with_capacity(batch.len());
+        for (c, ms) in answers {
+            computed += c;
+            measurements.extend(ms);
         }
+        Ok((computed, measurements))
     }
-}
-
-/// One retry-policy step: transient failures sleep the backoff (honoring
-/// the daemon's Busy hint when longer) and return the bumped attempt
-/// count; deterministic failures — or an exhausted policy — bail with
-/// the error.
-fn retry_or_bail(
-    policy: &RetryPolicy,
-    attempt: u32,
-    e: ServiceError,
-    busy_hint: Option<u64>,
-) -> Result<u32, ServiceError> {
-    if !e.is_transient() || attempt >= policy.max_retries {
-        return Err(e);
-    }
-    let attempt = attempt + 1;
-    let mut nap = policy.backoff(attempt);
-    if let Some(hint_ms) = busy_hint {
-        // Honor the daemon's own hint when it is the longer wait — it
-        // knows its queue better.
-        nap = nap.max(Duration::from_millis(hint_ms));
-    }
-    std::thread::sleep(nap);
-    Ok(attempt)
-}
-
-/// The positional response contract, verified rather than trusted: one
-/// measurement per requested point, in request order, so a confused
-/// daemon surfaces as a protocol error instead of mislabeled
-/// measurements.
-fn verify_measurements(
-    points: &[TuningParams],
-    measurements: &[Measurement],
-) -> Result<(), ServiceError> {
-    if measurements.len() != points.len() {
-        return Err(ServiceError::Protocol(format!(
-            "evaluate returned {} measurements for {} points",
-            measurements.len(),
-            points.len()
-        )));
-    }
-    for (p, m) in points.iter().zip(measurements) {
-        if m.params != *p {
-            return Err(ServiceError::Protocol(format!(
-                "evaluate returned measurement for {} where {} was requested",
-                m.params, p
-            )));
-        }
-    }
-    Ok(())
 }
 
 impl Oracle for RemoteEvaluator {
@@ -1366,25 +958,6 @@ mod tests {
         let p = RetryPolicy { base_backoff: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(p.backoff(1), Duration::ZERO);
         assert_eq!(p.backoff(7), Duration::ZERO);
-    }
-
-    #[test]
-    fn flush_idle_from_rtt_is_quarter_rtt_clamped() {
-        // Loopback-fast RTT clamps up to the floor.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_micros(4)),
-            Duration::from_micros(25)
-        );
-        // Mid-range RTT: a quarter.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_millis(2)),
-            Duration::from_micros(500)
-        );
-        // WAN-slow RTT clamps down to the ceiling.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_secs(1)),
-            Duration::from_millis(5)
-        );
     }
 
     #[test]

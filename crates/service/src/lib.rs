@@ -7,7 +7,7 @@
 //! overlapping spaces share front-ends, model contexts and whole
 //! measurement tiers instead of recomputing them per process.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`protocol`] — the RPC vocabulary: `evaluate` (a batch of tuning
 //!   points under one experiment scope), `simulate`, `stats`, `ping`
@@ -44,13 +44,15 @@
 //!   work, busy workers and unwritten responses under a hard deadline
 //!   before the reactor exits, so a daemon with a `--store-dir` never
 //!   tears its own spill lines.
-//! * [`client`] — the client library: a [`Client`] speaking the
-//!   protocol under a [`RetryPolicy`] — a deadline on every exchange,
-//!   automatic reconnect and retry with exponential backoff + jitter
-//!   for the idempotent verbs (evaluation is deterministic and the
-//!   store dedups, so replaying is always bit-identically safe) — a
-//!   [`Pipeline`] holding up to N request frames in flight on one
-//!   connection with responses matched by correlation id, and a
+//! * [`client`] — the client library: [`Client`], the one connection
+//!   type, speaking the protocol under a [`RetryPolicy`] — a deadline
+//!   on every exchange, automatic reconnect and retry with exponential
+//!   backoff + jitter for the idempotent verbs (evaluation is
+//!   deterministic and the store dedups, so replaying is always
+//!   bit-identically safe). Sequential calls keep one frame in flight;
+//!   [`Client::evaluate_chunks`] keeps a window of them, run on the
+//!   caller's thread with responses matched by correlation id, and a
+//!   failure resends only the chunks still unanswered. On top sits a
 //!   [`RemoteEvaluator`] facade implementing
 //!   [`oriole_tuner::Oracle`], so every existing search strategy runs
 //!   unchanged against a daemon — `RandomSearch`, `GeneticSearch`,
@@ -81,7 +83,7 @@ pub mod server;
 
 pub use chaos::{ChaosPlan, ChaosProxy, FaultSpec};
 pub use client::{
-    Client, CoalesceConfig, Pipeline, RemoteEvaluator, RetryPolicy, ServiceError,
+    Client, CoalesceConfig, RemoteEvaluator, RetryPolicy, ServiceError,
 };
 pub use protocol::{EvalScope, Request, Response, ServiceStats, RPC_VERSION};
 pub use server::{ServeConfig, ServeSummary, Server};

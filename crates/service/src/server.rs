@@ -78,7 +78,7 @@ use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
 use oriole_codegen::{compile, TuningParams};
 use oriole_kernels::KernelId;
 use oriole_sim::TrialProtocol;
-use oriole_tuner::persist::{decode_frame, write_frame, write_frame_tagged};
+use oriole_tuner::persist::{decode_frame, write_frame_tagged};
 use oriole_tuner::ArtifactStore;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -651,7 +651,7 @@ fn shed_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
     let resp = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
-    let _ = write_frame(&mut stream, &protocol::emit_response(&resp));
+    let _ = write_frame_tagged(&mut stream, 0, &protocol::emit_response(&resp));
 }
 
 fn drop_conn(conns: &mut [Option<Conn>], slot: usize, state: &ServerState) {

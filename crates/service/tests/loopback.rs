@@ -7,13 +7,11 @@
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
-use oriole_service::protocol::{Request, Response};
 use oriole_service::{
-    Client, CoalesceConfig, EvalScope, Pipeline, RemoteEvaluator, RetryPolicy, Server,
-    ServeSummary,
+    Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeSummary, Server,
 };
 use oriole_sim::ModelId;
-use oriole_tuner::persist::{read_frame, write_frame};
+use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
 use oriole_tuner::{
     ArtifactStore, EvalProtocol, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher,
 };
@@ -209,8 +207,8 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
 
     // 2. Version skew: answered with an error naming both versions.
     let mut raw = TcpStream::connect(&addr).expect("connect raw");
-    write_frame(&mut raw, "oriole-rpc v99 ping").expect("send");
-    let reply = read_frame(&mut raw).expect("reply");
+    write_frame_tagged(&mut raw, 0, "oriole-rpc v99 ping").expect("send");
+    let (_, reply) = read_frame_tagged(&mut raw).expect("reply");
     assert!(reply.contains("version skew"), "{reply}");
     assert!(reply.contains(oriole_service::RPC_VERSION), "{reply}");
 
@@ -220,10 +218,10 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     use std::io::Write as _;
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("send garbage");
     raw.flush().unwrap();
-    let reply = read_frame(&mut raw);
+    let reply = read_frame_tagged(&mut raw);
     // Either an error frame or an immediate hangup is acceptable; what
     // is not acceptable is the daemon dying or serving the garbage.
-    if let Ok(reply) = reply {
+    if let Ok((_, reply)) = reply {
         assert!(reply.contains("malformed frame"), "{reply}");
     }
 
@@ -254,31 +252,18 @@ fn pipelined_requests_complete_out_of_order_and_stay_bit_identical() {
     let sc = scope("atax", gpu, &sizes);
 
     let (addr, handle) = spawn_server(ArtifactStore::new());
-    let pipe = Pipeline::connect(&addr, 8, &RetryPolicy::default()).expect("connect");
+    let pipe = Client::connect_with(&addr, RetryPolicy::default()).expect("connect");
 
-    // One frame per point, all in flight at once, redeemed in *reverse*
-    // send order — correlation ids, not arrival order, route responses.
-    let tickets: Vec<_> = points
-        .iter()
-        .map(|p| {
-            pipe.send(&Request::Evaluate {
-                scope: sc.clone(),
-                points: vec![*p],
-                deadline_ms: 0,
-            })
-            .expect("send")
-        })
+    // One frame per point, up to 8 in flight at once, answered in
+    // whatever order the workers finish — correlation ids, not arrival
+    // order, route responses to their chunk slots.
+    let chunks: Vec<&[TuningParams]> = points.chunks(1).collect();
+    let measurements: Vec<Measurement> = pipe
+        .evaluate_chunks(&sc, &chunks, 8)
+        .expect("pipelined evaluate")
+        .into_iter()
+        .flat_map(|(_, ms)| ms)
         .collect();
-    let mut measurements: Vec<Measurement> = Vec::new();
-    for ticket in tickets.into_iter().rev() {
-        match pipe.wait(ticket).expect("wait") {
-            Response::Evaluate { measurements: mut ms, .. } => {
-                measurements.push(ms.remove(0))
-            }
-            other => panic!("expected measurements, got {other:?}"),
-        }
-    }
-    measurements.reverse();
     assert_eq!(measurements, local, "pipelined results are the local numbers bit-for-bit");
 
     // The daemon saw real pipelining and is idle again now.

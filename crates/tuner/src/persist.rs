@@ -814,7 +814,8 @@ pub const FRAME_HEADER_BYTES: usize = 24;
 /// bound is a corrupted length field, not a legitimate payload.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Why one [`read_frame`] call produced no payload.
+/// Why one [`read_frame_tagged`] (or [`decode_frame`]) call produced no
+/// payload.
 #[derive(Debug)]
 pub enum FrameError {
     /// The peer closed the connection cleanly *between* frames (zero
@@ -877,7 +878,8 @@ pub fn frame_checksum(corr: u64, payload: &[u8]) -> u64 {
 ///
 /// The correlation id lets one connection carry many requests in
 /// flight: a peer echoes the id back so responses can arrive out of
-/// order. Single-shot exchanges use [`write_frame`], which tags with 0.
+/// order. Id 0 is reserved for connection-level notices that answer no
+/// particular request.
 ///
 /// The single buffered `write_all` keeps frames contiguous even when
 /// several threads share one stream behind a mutex.
@@ -895,12 +897,6 @@ pub fn write_frame_tagged(
     buf.extend_from_slice(bytes);
     w.write_all(&buf)?;
     w.flush()
-}
-
-/// Writes one frame with correlation id 0 — the single-shot form used
-/// everywhere a connection has at most one request in flight.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &str) -> std::io::Result<()> {
-    write_frame_tagged(w, 0, payload)
 }
 
 /// Maps a raw I/O error to the frame-level verdict: an expired
@@ -965,12 +961,6 @@ pub fn read_frame_tagged(r: &mut impl std::io::Read) -> Result<(u64, String), Fr
     }
     let payload = String::from_utf8(payload).map_err(|_| FrameError::BadUtf8)?;
     Ok((corr, payload))
-}
-
-/// Reads one frame and discards its correlation id — the single-shot
-/// counterpart of [`write_frame`].
-pub fn read_frame(r: &mut impl std::io::Read) -> Result<String, FrameError> {
-    read_frame_tagged(r).map(|(_, payload)| payload)
 }
 
 /// Attempts to decode one frame from the front of an accumulation
@@ -1387,41 +1377,41 @@ mod tests {
     fn frames_round_trip_and_reject_damage() {
         let payload = format!("oriole-rpc v1 evaluate\nm {}", emit_measurement(&sample_measurement()));
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        write_frame(&mut buf, "second").unwrap();
+        write_frame_tagged(&mut buf, 0, &payload).unwrap();
+        write_frame_tagged(&mut buf, 0, "second").unwrap();
         let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
-        assert_eq!(read_frame(&mut cursor).unwrap(), "second");
+        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, payload.clone()));
+        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "second".to_string()));
         // Clean close between frames is Eof, not an error.
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Eof)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
 
         // A flipped payload byte fails the checksum.
         let mut tampered = buf.clone();
         let last = tampered.len() - 1;
         tampered[last] ^= 0x01;
         let mut cursor = &tampered[FRAME_HEADER_BYTES + payload.len()..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadChecksum)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
 
         // A flipped correlation-id byte also fails the checksum — a
         // corrupted id must never deliver a frame under the wrong id.
         let mut tampered = buf.clone();
         tampered[17] ^= 0x01;
         let mut cursor = &tampered[..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadChecksum)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
 
         // Wrong magic and oversized length are rejected up front.
         let mut cursor: &[u8] = b"JUNKxxxxxxxxxxxxxxxx";
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadMagic(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadMagic(_))));
         let mut huge = Vec::new();
         huge.extend_from_slice(&FRAME_MAGIC);
         huge.extend_from_slice(&u32::MAX.to_be_bytes());
         huge.extend_from_slice(&[0u8; 8]);
         let mut cursor = &huge[..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::TooLarge(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::TooLarge(_))));
 
         // A connection dropped mid-frame is an I/O error, not Eof.
         let mut cursor = &buf[..7];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Io(_))));
     }
 
     #[test]
@@ -1429,12 +1419,12 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_tagged(&mut buf, 7, "first").unwrap();
         write_frame_tagged(&mut buf, u64::MAX, "second").unwrap();
-        write_frame(&mut buf, "untagged").unwrap();
+        write_frame_tagged(&mut buf, 0, "notice").unwrap();
         let mut cursor = &buf[..];
         assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (7, "first".to_string()));
         assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (u64::MAX, "second".to_string()));
-        // The single-shot wrapper tags with 0 and interoperates.
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "untagged".to_string()));
+        // Id 0 (connection-level notices) round-trips like any other.
+        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "notice".to_string()));
         assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
     }
 
@@ -1497,8 +1487,8 @@ mod tests {
                 Ok(n)
             }
         }
-        assert!(matches!(read_frame(&mut TimesOutAfter(0)), Err(FrameError::TimedOut)));
-        assert!(matches!(read_frame(&mut TimesOutAfter(2)), Err(FrameError::TimedOut)));
+        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(0)), Err(FrameError::TimedOut)));
+        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(2)), Err(FrameError::TimedOut)));
         for kind in [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut] {
             assert!(matches!(classify_frame_io(kind.into()), FrameError::TimedOut));
         }

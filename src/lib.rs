@@ -18,14 +18,20 @@
 //!   parameter suggestion).
 //! * [`tuner`] — the autotuning framework (search algorithms, ranking,
 //!   statistics) with the new static-analysis search module.
-//! * [`service`] — the sharded tuner service: a daemon exposing the
-//!   evaluation engine (and its shared, optionally disk-backed
-//!   `ArtifactStore`) to concurrent remote clients over a framed RPC
-//!   protocol, plus the `RemoteEvaluator` oracle facade.
+//! * [`service`] — the tuner service: a daemon exposing the evaluation
+//!   engine (and its shared, optionally disk-backed `ArtifactStore`) to
+//!   concurrent remote clients over a framed, pipelined RPC protocol;
+//!   the client side with its one connection type (`Client`, retrying
+//!   and verifying every exchange); the coalescing `RemoteEvaluator`
+//!   oracle; and the `ChaosProxy` fault-injection harness.
+//! * [`fleet`] — one sweep sharded across N daemons: a deterministic
+//!   scope partitioner, a work-stealing chunk scheduler and the
+//!   `FleetEvaluator` oracle, byte-identical to a local run.
 
 pub use oriole_arch as arch;
 pub use oriole_codegen as codegen;
 pub use oriole_core as core;
+pub use oriole_fleet as fleet;
 pub use oriole_ir as ir;
 pub use oriole_kernels as kernels;
 pub use oriole_service as service;
